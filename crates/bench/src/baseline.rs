@@ -192,7 +192,34 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         ns,
     ));
 
-    // 5. A whole tiled GEMM (8x4 = 32 tiles on a 32x32 array, k = 2): the
+    // 5 + 6. The widest steady-state pair in normal pipeline mode: a
+    // 256-deep stream through a 64x64 array with k = 1, the configuration
+    // with the most block pairs per cycle, for both dataflows. Its own
+    // seed keeps the operands of the other benches unchanged.
+    let mut wide_rng = SplitMix64::new(91);
+    let a_wide = Matrix::random(256, 64, &mut wide_rng, -50, 50);
+    let b_wide = Matrix::random(64, 64, &mut wide_rng, -50, 50);
+    let a_wide_os = Matrix::random(64, 256, &mut wide_rng, -50, 50);
+    let b_wide_os = Matrix::random(256, 64, &mut wide_rng, -50, 50);
+    for (name, dataflow, a, b) in [
+        ("simcore/tile_64x64_steady_k1", Dataflow::WeightStationary, &a_wide, &b_wide),
+        ("simcore/tile_64x64_os_steady_k1", Dataflow::OutputStationary, &a_wide_os, &b_wide_os),
+    ] {
+        let sim = Simulator::new(ArrayConfig::new(64, 64).with_dataflow(dataflow))
+            .map_err(ArrayFlexError::from)?;
+        let cycles = sim
+            .run_tile(a, b)
+            .map_err(ArrayFlexError::from)?
+            .stats
+            .total_cycles();
+        let iters = scale(100);
+        let ns = time_batches(iters, || {
+            sim.run_tile(a, b).expect("64x64 steady tile");
+        });
+        benches.push(record(name, iters, Some(cycles), ns));
+    }
+
+    // 7. A whole tiled GEMM (8x4 = 32 tiles on a 32x32 array, k = 2): the
     // workload of the `throughput` experiment, serial.
     let a_gemm = Matrix::random(24, 256, &mut rng, -50, 50);
     let b_gemm = Matrix::random(256, 128, &mut rng, -50, 50);
@@ -214,7 +241,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         ns,
     ));
 
-    // 6. The im2col lowering of a mid-network 3x3 convolution
+    // 8. The im2col lowering of a mid-network 3x3 convolution
     // (64 -> 64 channels on a 28x28 input: T = 784, N = 576).
     let shape = ConvShape::dense(64, 64, 3, 1, 1, 28);
     let input = Tensor3::random(64, 28, 28, &mut rng, -50, 50);
@@ -225,7 +252,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/im2col_conv3x3_64c_28x28", iters, None, ns));
 
-    // 7. The reference GEMM the simulator is verified against.
+    // 9. The reference GEMM the simulator is verified against.
     let a_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let b_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let iters = scale(100);
@@ -443,7 +470,7 @@ mod tests {
     fn quick_baseline_runs_and_round_trips_through_json() {
         let report = simcore_baseline(true).unwrap();
         assert!(report.quick);
-        assert_eq!(report.benches.len(), 7);
+        assert_eq!(report.benches.len(), 9);
         validate_report(&report).unwrap();
         assert!(report.bench(DRAIN_HEAVY_FAST).is_some());
         assert!(report.bench("simcore/nope").is_none());

@@ -87,9 +87,19 @@ pub struct LayerGemm {
 
 impl LayerGemm {
     /// Total multiply-accumulate count over all repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
     #[must_use]
     pub fn macs(&self) -> u64 {
-        self.dims.macs() * self.repeats
+        self.checked_macs().expect("layer MAC count overflows u64")
+    }
+
+    /// [`LayerGemm::macs`] with checked arithmetic: `None` on overflow.
+    #[must_use]
+    pub fn checked_macs(&self) -> Option<u64> {
+        self.dims.checked_macs()?.checked_mul(self.repeats)
     }
 }
 
@@ -147,41 +157,61 @@ impl Layer {
 
     /// Total multiply-accumulate count of the layer (independent of the
     /// depthwise mapping policy).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Layer::checked_macs`] returns `None`.
     #[must_use]
     pub fn macs(&self) -> u64 {
+        self.checked_macs()
+            .expect("layer MAC count overflows u64 or has no lowering")
+    }
+
+    /// [`Layer::macs`] with checked arithmetic: `None` if the lowering or
+    /// the count overflows `u64`, or a convolution has no lowering (see
+    /// [`ConvShape::checked_gemm_dims`]).
+    #[must_use]
+    pub fn checked_macs(&self) -> Option<u64> {
         match self.op {
-            LayerOp::Conv(shape) => shape.macs(),
+            LayerOp::Conv(shape) => shape.checked_macs(),
             LayerOp::FullyConnected {
                 in_features,
                 out_features,
-            } => in_features * out_features,
-            LayerOp::Matmul { dims, count } => dims.macs() * count,
+            } => in_features.checked_mul(out_features),
+            LayerOp::Matmul { dims, count } => dims.checked_macs()?.checked_mul(count),
         }
     }
 
     /// Lowers the layer to GEMM invocations under the given depthwise
     /// mapping policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Layer::checked_gemm`] returns `None`.
     #[must_use]
     pub fn gemm(&self, mapping: DepthwiseMapping) -> LayerGemm {
+        self.checked_gemm(mapping)
+            .expect("layer lowering overflows or has no output")
+    }
+
+    /// [`Layer::gemm`] with checked arithmetic: `None` if a lowered
+    /// dimension overflows, or a convolution has no lowering (see
+    /// [`ConvShape::checked_gemm_dims`]).
+    #[must_use]
+    pub fn checked_gemm(&self, mapping: DepthwiseMapping) -> Option<LayerGemm> {
         let (dims, repeats) = match self.op {
             LayerOp::Conv(shape) => {
+                let per_group = shape.checked_gemm_dims()?;
                 if shape.groups > 1 {
                     match mapping {
-                        DepthwiseMapping::BlockDiagonal => {
-                            let per_group = shape.gemm_dims();
-                            (
-                                GemmDims::new(
-                                    shape.out_channels as u64,
-                                    per_group.n,
-                                    per_group.t,
-                                ),
-                                1,
-                            )
-                        }
-                        DepthwiseMapping::PerGroup => (shape.gemm_dims(), shape.gemm_count()),
+                        DepthwiseMapping::BlockDiagonal => (
+                            GemmDims::new(shape.out_channels as u64, per_group.n, per_group.t),
+                            1,
+                        ),
+                        DepthwiseMapping::PerGroup => (per_group, shape.gemm_count()),
                     }
                 } else {
-                    (shape.gemm_dims(), 1)
+                    (per_group, 1)
                 }
             }
             LayerOp::FullyConnected {
@@ -190,12 +220,12 @@ impl Layer {
             } => (GemmDims::new(out_features, in_features, 1), 1),
             LayerOp::Matmul { dims, count } => (dims, count),
         };
-        LayerGemm {
+        Some(LayerGemm {
             layer_index: self.index,
             layer_name: self.name.clone(),
             dims,
             repeats,
-        }
+        })
     }
 
     /// Shorthand for the GEMM dimensions under the default (block-diagonal)
@@ -267,6 +297,25 @@ mod tests {
         assert_eq!(layer.macs(), 12 * 128 * 64 * 128);
         assert!(!layer.is_depthwise());
         assert!(!layer.is_pointwise());
+    }
+
+    #[test]
+    fn checked_lowering_agrees_and_rejects_overflow() {
+        let dw = Layer::conv(3, "dw", ConvShape::depthwise(64, 3, 1, 1, 56));
+        for mapping in [DepthwiseMapping::BlockDiagonal, DepthwiseMapping::PerGroup] {
+            assert_eq!(dw.checked_gemm(mapping), Some(dw.gemm(mapping)));
+            assert_eq!(dw.gemm(mapping).checked_macs(), Some(dw.macs()));
+        }
+        assert_eq!(dw.checked_macs(), Some(64 * 9 * 3136));
+        let huge = 4_000_000_000;
+        let conv = Layer::conv(1, "c", ConvShape::dense(huge, huge, huge, 1, 0, huge));
+        assert_eq!(conv.checked_gemm(DepthwiseMapping::default()), None);
+        assert_eq!(conv.checked_macs(), None);
+        assert_eq!(Layer::fully_connected(1, "fc", u64::MAX, 2).checked_macs(), None);
+        let repeated = Layer::matmul(1, "m", GemmDims::new(1 << 20, 1 << 20, 1 << 20), 1 << 10);
+        assert!(repeated.checked_gemm(DepthwiseMapping::default()).is_some());
+        assert_eq!(repeated.checked_macs(), None);
+        assert_eq!(repeated.gemm_dims(), GemmDims::new(1 << 20, 1 << 20, 1 << 20));
     }
 
     #[test]

@@ -190,10 +190,10 @@ impl ConvShape {
                 "channel counts ({}, {}) must be divisible by groups ({})",
                 self.in_channels, self.out_channels, self.groups
             ))
-        } else if self.kernel > self.input_height + 2 * self.padding
-            || self.kernel > self.input_width + 2 * self.padding
+        } else if self.checked_output_extent(self.input_height).is_none()
+            || self.checked_output_extent(self.input_width).is_none()
         {
-            Some("kernel larger than padded input".to_owned())
+            Some("kernel larger than padded input, or padded input overflows usize".to_owned())
         } else {
             None
         };
@@ -203,16 +203,34 @@ impl ConvShape {
         }
     }
 
+    /// Output extent of one spatial dimension of input extent `input`:
+    /// `(input + 2*padding - kernel) / stride + 1`, or `None` if the padded
+    /// input overflows, the kernel is larger than it, or the stride is zero.
+    fn checked_output_extent(&self, input: usize) -> Option<usize> {
+        let padded = input.checked_add(self.padding.checked_mul(2)?)?;
+        Some(padded.checked_sub(self.kernel)?.checked_div(self.stride)? + 1)
+    }
+
     /// Output spatial height.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape has no output (see [`ConvShape::validate`]).
     #[must_use]
     pub fn output_height(&self) -> usize {
-        (self.input_height + 2 * self.padding - self.kernel) / self.stride + 1
+        self.checked_output_extent(self.input_height)
+            .expect("convolution has no output height")
     }
 
     /// Output spatial width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape has no output (see [`ConvShape::validate`]).
     #[must_use]
     pub fn output_width(&self) -> usize {
-        (self.input_width + 2 * self.padding - self.kernel) / self.stride + 1
+        self.checked_output_extent(self.input_width)
+            .expect("convolution has no output width")
     }
 
     /// Input channels per group.
@@ -224,13 +242,31 @@ impl ConvShape {
     /// The GEMM dimensions this convolution lowers to (per group):
     /// `M = C_out/groups`... for dense layers (`groups == 1`) this is the
     /// familiar `M = C_out`, `N = k*k*C_in`, `T = H_out * W_out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`ConvShape::checked_gemm_dims`] returns `None`.
     #[must_use]
     pub fn gemm_dims(&self) -> GemmDims {
-        GemmDims::new(
-            (self.out_channels / self.groups) as u64,
-            (self.kernel * self.kernel * self.channels_per_group()) as u64,
-            (self.output_height() * self.output_width()) as u64,
-        )
+        self.checked_gemm_dims()
+            .expect("convolution lowering overflows or has no output")
+    }
+
+    /// [`ConvShape::gemm_dims`] with checked arithmetic: `None` if a
+    /// lowered dimension overflows, or if the shape has no lowering at all
+    /// (zero stride or groups, or a kernel larger than the padded input).
+    /// The one lowering formula; the unchecked accessors call it.
+    #[must_use]
+    pub fn checked_gemm_dims(&self) -> Option<GemmDims> {
+        let m = self.out_channels.checked_div(self.groups)?;
+        let n = self
+            .kernel
+            .checked_mul(self.kernel)?
+            .checked_mul(self.in_channels.checked_div(self.groups)?)?;
+        let t = self
+            .checked_output_extent(self.input_height)?
+            .checked_mul(self.checked_output_extent(self.input_width)?)?;
+        Some(GemmDims::new(m as u64, n as u64, t as u64))
     }
 
     /// Number of independent GEMMs (one per group).
@@ -240,9 +276,23 @@ impl ConvShape {
     }
 
     /// Total multiply-accumulate count of the convolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`ConvShape::checked_macs`] returns `None`.
     #[must_use]
     pub fn macs(&self) -> u64 {
-        self.gemm_dims().macs() * self.gemm_count()
+        self.checked_macs()
+            .expect("convolution MAC count overflows u64 or has no lowering")
+    }
+
+    /// [`ConvShape::macs`] with checked arithmetic: `None` if the lowering
+    /// or the product overflows, or the shape has no lowering.
+    #[must_use]
+    pub fn checked_macs(&self) -> Option<u64> {
+        self.checked_gemm_dims()?
+            .checked_macs()?
+            .checked_mul(self.gemm_count())
     }
 }
 
@@ -478,6 +528,32 @@ mod tests {
         // 7x7 output.
         let s = ConvShape::dense(256, 512, 3, 2, 1, 14);
         assert_eq!(s.gemm_dims(), GemmDims::new(512, 2304, 49));
+    }
+
+    #[test]
+    fn checked_lowering_agrees_and_rejects_overflow() {
+        let s = ConvShape::dense(256, 512, 3, 2, 1, 14);
+        assert_eq!(s.checked_gemm_dims(), Some(s.gemm_dims()));
+        assert_eq!(s.checked_macs(), Some(512 * 2304 * 49));
+        // `k * k * C_in` overflows usize.
+        let huge = 4_000_000_000;
+        assert_eq!(ConvShape::dense(huge, huge, huge, 1, 0, huge).checked_gemm_dims(), None);
+        // The padded input overflows.
+        let padded = ConvShape::dense(1, 1, 1, 1, usize::MAX, 1);
+        assert_eq!(padded.checked_gemm_dims(), None);
+        assert!(padded.validate().is_err());
+        // Each dimension fits but the MAC product does not.
+        let wide = ConvShape::dense(1 << 31, 1 << 31, 1, 1, 0, 1 << 2);
+        assert!(wide.checked_gemm_dims().is_some());
+        assert_eq!(wide.checked_macs(), None);
+        // No lowering: zero stride, zero groups, kernel past the padded input.
+        let mut s = small_shape();
+        s.stride = 0;
+        assert_eq!(s.checked_gemm_dims(), None);
+        let mut s = small_shape();
+        s.groups = 0;
+        assert_eq!(s.checked_gemm_dims(), None);
+        assert_eq!(ConvShape::dense(8, 8, 9, 1, 0, 8).checked_gemm_dims(), None);
     }
 
     #[test]

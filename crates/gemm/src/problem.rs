@@ -42,9 +42,26 @@ impl GemmDims {
     }
 
     /// Total number of multiply-accumulate operations of this GEMM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the product overflows `u64`.
     #[must_use]
     pub const fn macs(&self) -> u64 {
-        self.m * self.n * self.t
+        match self.checked_macs() {
+            Some(macs) => macs,
+            None => panic!("GEMM MAC count overflows u64"),
+        }
+    }
+
+    /// [`GemmDims::macs`] with checked arithmetic: `None` if `M * N * T`
+    /// overflows `u64` at either step.
+    #[must_use]
+    pub const fn checked_macs(&self) -> Option<u64> {
+        match self.m.checked_mul(self.n) {
+            Some(mn) => mn.checked_mul(self.t),
+            None => None,
+        }
     }
 
     /// Number of elements of the streamed operand `A` (`T x N`).
@@ -92,6 +109,9 @@ mod tests {
     fn element_counts_are_consistent() {
         let d = GemmDims::new(3, 4, 5);
         assert_eq!(d.macs(), 60);
+        assert_eq!(d.checked_macs(), Some(60));
+        assert_eq!(GemmDims::new(u64::MAX, 2, 1).checked_macs(), None);
+        assert_eq!(GemmDims::new(1 << 32, 1, 1 << 32).checked_macs(), None);
         assert_eq!(d.a_elements(), 20);
         assert_eq!(d.b_elements(), 12);
         assert_eq!(d.output_elements(), 15);

@@ -7,7 +7,8 @@
 //! summary per stage. This module holds those primitives so the backends can
 //! never drift apart on the bit-level invariants the differential tests
 //! exercise (word-boundary geometries above 64 lanes, dense-versus-sparse
-//! stage classification).
+//! stage classification), along with the [`StreamPurity`] contract that
+//! decides when either backend may run its analytic wavefront kernel.
 
 pub(crate) const WORD_BITS: usize = 64;
 
@@ -86,6 +87,54 @@ impl LaneSummary {
             dense: true,
         }
     }
+
+    /// `true` when the stage is dense and its valid lanes include every
+    /// lane of `first..=last`.
+    pub(crate) fn covers(self, first: usize, last: usize) -> bool {
+        self.count > 0 && self.dense && self.first as usize <= first && last <= self.last as usize
+    }
+}
+
+/// Whether the operands currently in flight are provably the prefix of one
+/// deterministic feeder schedule started from a clean pipeline — the
+/// precondition of both backends' analytic wavefront kernels, whose
+/// active-window math assumes that schedule was followed from cycle 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StreamPurity {
+    /// The pipelines are empty; any schedule may start at cycle 0.
+    Clean,
+    /// Cycles `0..next` of a feeder stream of length `t` have been fed,
+    /// nothing else.
+    Tracked {
+        /// The stream length the in-flight schedule was generated from.
+        t: u64,
+        /// The next cycle index the schedule expects.
+        next: u64,
+    },
+    /// Arbitrary edge inputs were fed (or a schedule check failed); only
+    /// the generic frontier kernels may run until the pipelines are
+    /// cleared.
+    Poisoned,
+}
+
+impl StreamPurity {
+    /// Records a `run_cycles` call feeding cycles `first_cycle..end` of a
+    /// stream of length `t`, returning whether the analytic kernel may
+    /// evaluate them: the call must start a clean pipeline at cycle 0 or
+    /// continue the tracked stream exactly where the previous call ended.
+    pub(crate) fn begin_run(&mut self, t: u64, first_cycle: u64, end: u64) -> bool {
+        let analytic = match *self {
+            Self::Clean => first_cycle == 0,
+            Self::Tracked { t: tracked, next } => tracked == t && first_cycle == next,
+            Self::Poisoned => false,
+        };
+        *self = if analytic {
+            Self::Tracked { t, next: end }
+        } else {
+            Self::Poisoned
+        };
+        analytic
+    }
 }
 
 #[cfg(test)]
@@ -134,5 +183,31 @@ mod tests {
         assert_eq!((s.first, s.last, s.count), (3, 7, 5));
         assert!(s.dense);
         assert_eq!(LaneSummary::default().count, 0);
+        assert!(s.covers(3, 7) && s.covers(4, 6));
+        assert!(!s.covers(2, 7) && !s.covers(3, 8));
+        assert!(!LaneSummary::default().covers(0, 0));
+        let sparse = LaneSummary { dense: false, ..s };
+        assert!(!sparse.covers(4, 6));
+    }
+
+    #[test]
+    fn stream_purity_tracks_one_uninterrupted_schedule() {
+        let mut purity = StreamPurity::Clean;
+        // A clean pipeline must start at cycle 0.
+        assert!(purity.begin_run(5, 0, 3));
+        assert_eq!(purity, StreamPurity::Tracked { t: 5, next: 3 });
+        // Chunks continue exactly where the previous one ended.
+        assert!(purity.begin_run(5, 3, 9));
+        assert_eq!(purity, StreamPurity::Tracked { t: 5, next: 9 });
+        // A gap, or a different stream length, poisons for good.
+        let mut gap = purity;
+        assert!(!gap.begin_run(5, 10, 12));
+        assert_eq!(gap, StreamPurity::Poisoned);
+        let mut other = purity;
+        assert!(!other.begin_run(6, 9, 12));
+        assert!(!other.begin_run(6, 12, 14));
+        let mut late = StreamPurity::Clean;
+        assert!(!late.begin_run(5, 1, 4));
+        assert_eq!(late, StreamPurity::Poisoned);
     }
 }

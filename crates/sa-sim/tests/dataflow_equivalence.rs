@@ -5,7 +5,7 @@
 //! output-stationary dataflow: full-size operand register files with
 //! `Vec<bool>` validity, resident per-PE accumulators, and a per-cycle scan
 //! of every processing element. The tests drive it cycle for cycle against
-//! [`OutputStationaryArray`] (both with and without the block-frontier fast
+//! [`OutputStationaryArray`] (both with and without the wavefront fast
 //! path) across randomized geometries, collapse depths, reduction lengths
 //! and operand sparsity — including streams with mid-stream holes and
 //! word-boundary geometries wider than 64 lanes — asserting bit-identical
@@ -148,6 +148,164 @@ fn assert_os_equivalent(
     }
 }
 
+/// How one segment of a mixed schedule feeds the engines.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    /// Hand-fed `step` cycles (with the collector drained by hand), which
+    /// make the stream impure for the rest of the tile.
+    Steps(u64),
+    /// One `run_cycles` call.
+    Run(u64),
+}
+
+/// Drives the fast and naive engines through the same mixed schedule of
+/// `plan` segments (topped up with a final `run_cycles` to `cycles`),
+/// stepping the reference over the same cycles. After **every segment**
+/// the accumulator files and statistics of all three agree, so the
+/// wavefront kernel and the naive scan are checked chunk by chunk, not
+/// only through the final drain; the drained outputs must equal
+/// the GEMM oracle.
+fn assert_os_mixed(config: ArrayConfig, n: usize, seed: u64, cycles: u64, plan: &[Feed]) {
+    let mut rng = SplitMix64::new(seed);
+    let a = Matrix::random(config.rows as usize, n, &mut rng, -60, 60);
+    let b = Matrix::random(n, config.cols as usize, &mut rng, -60, 60);
+    let west = OsWestFeeder::new(&a, config).unwrap();
+    let north = OsNorthFeeder::new(&b, config).unwrap();
+    let mut reference = LegacyOsArray::new(config);
+    let mut engines = [true, false].map(|fast| {
+        let mut engine = OutputStationaryArray::new(config).unwrap();
+        engine.set_fast_path(fast);
+        (engine, OsCollector::new(config, n as u64))
+    });
+    let mut cycle = 0u64;
+    let segments = plan.iter().copied().chain(std::iter::once(Feed::Run(u64::MAX)));
+    for feed in segments {
+        let len = match feed {
+            Feed::Steps(len) | Feed::Run(len) => len.min(cycles - cycle),
+        };
+        for (engine, collector) in &mut engines {
+            match feed {
+                Feed::Steps(_) => {
+                    for c in cycle..cycle + len {
+                        let west = west_options(&a, config, c, 0);
+                        let north = north_options(&b, config, c, 0);
+                        engine.step(&west, &north).unwrap();
+                        collector.collect_due(c, engine.accumulators()).unwrap();
+                    }
+                }
+                Feed::Run(_) => engine
+                    .run_cycles(&west, &north, cycle, len, collector)
+                    .unwrap(),
+            }
+        }
+        for c in cycle..cycle + len {
+            reference.step(&west_options(&a, config, c, 0), &north_options(&b, config, c, 0));
+        }
+        cycle += len;
+        for (engine, _) in &engines {
+            let mode = if engine.fast_path() { "fast" } else { "naive" };
+            assert_eq!(
+                engine.accumulators(),
+                reference.accumulators(),
+                "{mode} accumulators diverged: {config} n={n} after {feed:?} at cycle {cycle}"
+            );
+            assert_eq!(
+                engine.stats(),
+                reference.stats(),
+                "{mode} stats diverged: {config} n={n} after {feed:?} at cycle {cycle}"
+            );
+        }
+        if cycle == cycles {
+            break;
+        }
+    }
+    let oracle = multiply(&a, &b).unwrap();
+    for (_, collector) in engines {
+        assert!(collector.is_complete());
+        assert_eq!(collector.into_output().unwrap(), oracle, "{config} n={n}");
+    }
+}
+
+/// A random mixed schedule: segments of 1..=`max_len` cycles, a quarter
+/// of them hand-fed.
+fn random_plan(seed: u64, max_len: u64) -> Vec<Feed> {
+    let mut rng = SplitMix64::new(seed);
+    (0..rng.next_i32_in(1, 8))
+        .map(|_| {
+            let len = rng.next_i32_in(1, max_len as i32) as u64;
+            if rng.next_i32_in(0, 3) == 0 {
+                Feed::Steps(len)
+            } else {
+                Feed::Run(len)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn os_mixed_schedules_match_on_wide_and_ragged_geometries() {
+    use Feed::{Run, Steps};
+    // 64x64 with k = 1 (the most block pairs per cycle), and collapse
+    // depths that divide neither edge with ragged reduction lengths (a
+    // partial last row block and column block). Each runs pure chunked
+    // `run_cycles` (the wavefront kernel throughout), hand-fed steps
+    // first, and hand-fed steps in the middle of the stream.
+    for (rows, cols, k, n, seed) in [
+        (64u32, 64u32, 1u32, 23usize, 31u64),
+        (10, 7, 3, 11, 32),
+        (13, 9, 4, 5, 33),
+        (70, 66, 4, 13, 34),
+    ] {
+        let config = ArrayConfig::new(rows, cols)
+            .with_collapse_depth(k)
+            .with_dataflow(Dataflow::OutputStationary);
+        let cycles = config.os_tile_cycles(n as u64) + 3;
+        for plan in [
+            vec![Run(1), Run(n as u64), Run(7)],
+            vec![Steps(2), Run(5)],
+            vec![Run(n as u64 / 2 + 1), Steps(3), Run(4)],
+        ] {
+            assert_os_mixed(config, n, seed, cycles, &plan);
+        }
+    }
+}
+
+#[test]
+fn a_hand_fed_bubble_poisons_the_wavefront_kernel() {
+    // An idle hand-fed `step` between two `run_cycles` calls that continue
+    // the cycle numbering leaves the operands in flight one cycle behind
+    // the schedule: the second call must fall back to the naive scan and
+    // still match a reference fed the same bubble.
+    for (rows, cols, k, n, seed) in [(6u32, 5u32, 2u32, 7usize, 41u64), (64, 64, 1, 9, 42)] {
+        let config = ArrayConfig::new(rows, cols)
+            .with_collapse_depth(k)
+            .with_dataflow(Dataflow::OutputStationary);
+        let mut rng = SplitMix64::new(seed);
+        let a = Matrix::random(rows as usize, n, &mut rng, -60, 60);
+        let b = Matrix::random(n, cols as usize, &mut rng, -60, 60);
+        let west = OsWestFeeder::new(&a, config).unwrap();
+        let north = OsNorthFeeder::new(&b, config).unwrap();
+        let mut collector = OsCollector::new(config, n as u64);
+        let mut engine = OutputStationaryArray::new(config).unwrap();
+        let mut reference = LegacyOsArray::new(config);
+        let (split, cycles) = (4, config.os_tile_cycles(n as u64));
+        engine.run_cycles(&west, &north, 0, split, &mut collector).unwrap();
+        let (idle_west, idle_north) = (vec![None; rows as usize], vec![None; cols as usize]);
+        engine.step(&idle_west, &idle_north).unwrap();
+        engine
+            .run_cycles(&west, &north, split, cycles - split, &mut collector)
+            .unwrap();
+        for c in 0..cycles {
+            if c == split {
+                reference.step(&idle_west, &idle_north);
+            }
+            reference.step(&west_options(&a, config, c, 0), &north_options(&b, config, c, 0));
+        }
+        assert_eq!(engine.accumulators(), reference.accumulators(), "{config} n={n}");
+        assert_eq!(engine.stats(), reference.stats(), "{config} n={n}");
+    }
+}
+
 #[test]
 fn os_engine_matches_the_reference_on_fixed_geometries() {
     // Word-boundary geometries the random sweep is unlikely to hit: more
@@ -203,8 +361,8 @@ proptest! {
     }
 
     /// Streams with randomly dropped indices — on either edge, forcing
-    /// unpaired operands and the sparse frontier fallback — still match
-    /// the reference cycle for cycle.
+    /// unpaired operands and hole-bearing stages — still match the
+    /// reference cycle for cycle.
     #[test]
     fn os_engine_matches_the_reference_with_holes(
         rows in 1u32..=12,
@@ -264,6 +422,29 @@ proptest! {
         prop_assert_eq!(engine.stats(), reference.stats());
         prop_assert!(collector.is_complete());
         prop_assert_eq!(collector.into_output().unwrap(), multiply(&a, &b).unwrap());
+    }
+
+    /// The OS twin of the WS "run_cycles mixed with manual steps"
+    /// property: interleaving hand-fed `step` cycles with chunked
+    /// `run_cycles` calls (which must then leave the wavefront kernel for
+    /// the naive scan) matches the reference after every chunk.
+    #[test]
+    fn os_run_cycles_mixed_with_manual_steps_matches(
+        rows in 1u32..=10,
+        cols in 1u32..=10,
+        k in 1u32..=5,
+        n in 1usize..=8,
+        extra in 0u64..=40,
+        plan_seed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(k <= rows && k <= cols);
+        let config = ArrayConfig::new(rows, cols)
+            .with_collapse_depth(k)
+            .with_dataflow(Dataflow::OutputStationary);
+        let cycles = config.os_tile_cycles(n as u64) + extra;
+        let plan = random_plan(plan_seed, cycles / 3 + 1);
+        assert_os_mixed(config, n, seed, cycles, &plan);
     }
 
     /// The dataflow-independent oracle: the same GEMM simulated on a

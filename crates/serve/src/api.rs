@@ -35,7 +35,7 @@ use arrayflex::{
     ArrayFlexModel, CacheOutcome, EvaluationSweep, NetworkComparison, ParallelExecutor, PlanCache,
     PlanKind,
 };
-use cnn::{DepthwiseMapping, Network};
+use cnn::{DepthwiseMapping, Layer, Network};
 use gemm::rng::SplitMix64;
 use gemm::{CancelToken, Matrix};
 use serde::{Deserialize, Serialize, Value};
@@ -55,6 +55,13 @@ pub const MAX_SWEEP_THREADS: usize = 16;
 pub const MAX_SIM_EDGE: u32 = 64;
 /// Maximum `T * N * M` product accepted by `/v1/simulate`.
 pub const MAX_SIM_MACS: u64 = 1 << 21;
+/// Maximum multiply-accumulate count of one inline network: every layer's
+/// lowered GEMM, times its repeat count, summed over the layers. A network
+/// inside this bound keeps every derived `u64` (lowered dimensions, MAC
+/// counts, `count x repeats`, and cycle totals, which add fewer than 2^14
+/// fill and drain cycles per tile) far from overflow in every build
+/// profile. Named networks are fixed tables well inside it.
+pub const MAX_NETWORK_MACS: u64 = 1 << 48;
 
 /// Shared state of one server instance.
 #[derive(Debug)]
@@ -468,10 +475,43 @@ impl NetworkSpec {
                 if network.is_empty() {
                     return Err(ApiError::bad_request("inline network has no layers"));
                 }
+                let mut total = 0u64;
+                for layer in network.iter() {
+                    total = inline_layer_macs(layer)
+                        .and_then(|macs| total.checked_add(macs))
+                        .filter(|&sum| sum <= MAX_NETWORK_MACS)
+                        .ok_or_else(|| {
+                            ApiError::bad_request(format!(
+                                "inline layer {} `{}` is malformed or takes the \
+                                 network past {MAX_NETWORK_MACS} multiply-accumulates",
+                                layer.index, layer.name
+                            ))
+                        })?;
+                }
                 Ok(network.clone())
             }
         }
     }
+}
+
+/// A bound on the multiply-accumulate count of one inline layer over all its
+/// repeats, taken through the library's checked lowering
+/// ([`Layer::checked_gemm`]): `None` if the lowered GEMM dimensions, the MAC
+/// count of one invocation or the `count x repeats` product would overflow
+/// `u64`, or if a convolution has no lowering at all (zero stride, kernel
+/// wider than the padded input, ...). Zero extents count as one, so a
+/// degenerate dimension or a zero repeat count cannot hide an oversized
+/// factor (the planner rejects zero dimensions on its own). The
+/// block-diagonal lowering runs all output channels of a grouped
+/// convolution in one GEMM; the per-group lowering splits the same MACs
+/// `groups` ways, so this bounds both.
+fn inline_layer_macs(layer: &Layer) -> Option<u64> {
+    let gemm = layer.checked_gemm(DepthwiseMapping::BlockDiagonal)?;
+    [gemm.dims.n, gemm.dims.t, gemm.repeats]
+        .into_iter()
+        .try_fold(gemm.dims.m.max(1), |product, factor| {
+            product.checked_mul(factor.max(1))
+        })
 }
 
 /// Names accepted by [`resolve_named_network`].
@@ -1119,6 +1159,52 @@ mod tests {
             .plan_arrayflex(&network, DepthwiseMapping::default())
             .unwrap();
         assert_eq!(response.body, serde_json::to_string(&direct).unwrap().into_bytes());
+    }
+
+    #[test]
+    fn inline_layer_macs_are_checked_through_the_lowering() {
+        use gemm::{ConvShape, GemmDims};
+        let conv = |shape| Layer::conv(1, "c", shape);
+        // In range: the exact MAC count, over every repeat.
+        let dense = ConvShape::dense(64, 64, 3, 1, 1, 28);
+        assert_eq!(inline_layer_macs(&conv(dense)), Some(dense.macs()));
+        let depthwise = ConvShape::depthwise(32, 3, 2, 1, 56);
+        assert_eq!(inline_layer_macs(&conv(depthwise)), Some(depthwise.macs()));
+        let heads = Layer::matmul(1, "m", GemmDims::new(64, 64, 128), 12);
+        assert_eq!(inline_layer_macs(&heads), Some(heads.macs()));
+        // Overflow in the lowered dims, in one invocation's MACs, and in
+        // `count x repeats`.
+        let huge = 4_000_000_000;
+        assert_eq!(inline_layer_macs(&conv(ConvShape::dense(huge, huge, huge, 1, 0, huge))), None);
+        assert_eq!(inline_layer_macs(&conv(ConvShape::dense(1, 1, 1, 1, usize::MAX, 1))), None);
+        let wide = Layer::fully_connected(1, "fc", u64::MAX, 2);
+        assert_eq!(inline_layer_macs(&wide), None);
+        let repeated = Layer::matmul(1, "m", GemmDims::new(1 << 20, 1 << 20, 1 << 20), 1 << 10);
+        assert_eq!(inline_layer_macs(&repeated), None);
+        // A zero count or a zero extent cannot hide an oversized factor.
+        let hidden = Layer::matmul(1, "m", GemmDims::new(u64::MAX, 2, 0), 0);
+        assert_eq!(inline_layer_macs(&hidden), None);
+        // Malformed convolutions have no lowering.
+        assert_eq!(inline_layer_macs(&conv(ConvShape::dense(8, 8, 3, 0, 1, 8))), None);
+        assert_eq!(inline_layer_macs(&conv(ConvShape::dense(8, 8, 9, 1, 0, 8))), None);
+    }
+
+    #[test]
+    fn inline_networks_past_the_mac_bound_are_a_400() {
+        let state = state();
+        let layer = |index| {
+            Layer::matmul(index, "m", gemm::GemmDims::new(1 << 16, 1 << 16, (1 << 15) + 1), 1)
+        };
+        // Each layer alone is within the bound; two together are past it.
+        for (layers, status) in [(vec![layer(1)], 200), (vec![layer(1), layer(2)], 400)] {
+            let network = Network::new("big", layers);
+            let body = format!(
+                r#"{{"network":{},"rows":16,"cols":16}}"#,
+                serde_json::to_string(&network).unwrap()
+            );
+            let response = handle(&state, &post("/v1/plan", &body));
+            assert_eq!(response.status, status);
+        }
     }
 
     #[test]

@@ -112,6 +112,48 @@ fn malformed_json_is_a_structured_400() {
 }
 
 #[test]
+fn inline_layers_that_overflow_u64_are_a_structured_400() {
+    // A Conv layer with channels, kernel and input around 4e9: its lowered
+    // `N = k * k * C_in` is about 6.4e28. Unchecked, it wrapped into a
+    // cached 200 in release builds and panicked into a 500 in debug ones.
+    let huge = 4_000_000_000;
+    let network = cnn::Network::new(
+        "huge",
+        vec![cnn::Layer::conv(
+            1,
+            "conv1",
+            gemm::ConvShape::dense(huge, huge, huge, 1, 0, huge),
+        )],
+    );
+    let body = format!(
+        r#"{{"network":{},"rows":16,"cols":16}}"#,
+        serde_json::to_string(&network).unwrap()
+    );
+    let handle = spawn_default();
+    // Twice: a rejected request must not be cached as a plan.
+    for _ in 0..2 {
+        let response = client::post_json(handle.addr(), "/v1/plan", &body).unwrap();
+        assert_eq!(response.status, 400);
+        let text = response.text().unwrap();
+        assert!(text.starts_with("{\"error\":{\"code\":400,"), "{text}");
+        assert!(text.contains("inline layer 1 `conv1`"), "{text}");
+    }
+    let sweep = format!(
+        r#"{{"array_sizes":[16],"networks":[{}]}}"#,
+        serde_json::to_string(&network).unwrap()
+    );
+    let response = client::post_json(handle.addr(), "/v1/sweep", &sweep).unwrap();
+    assert_eq!(response.status, 400, "{:?}", response.text());
+    let metrics = client::get(handle.addr(), "/metrics").unwrap();
+    let metrics = metrics.text().unwrap();
+    assert!(
+        metrics.contains("arrayflex_serve_panics_total 0"),
+        "a rejected request panicked: {metrics}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn unknown_routes_are_404_and_wrong_methods_405() {
     let handle = spawn_default();
     let response = client::get(handle.addr(), "/v1/does-not-exist").unwrap();
