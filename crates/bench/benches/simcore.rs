@@ -1,7 +1,6 @@
 //! Criterion bench of the structure-of-arrays simulator core: the
-//! allocation-free `step_into` against the allocating `step` compatibility
-//! wrapper, the multi-cycle `run_cycles` entry point against the repeated
-//! per-cycle loop, the frontier-banded panel kernel against the naive
+//! allocation-free per-cycle `step_into`, the multi-cycle `run_cycles`
+//! entry point against the repeated per-cycle loop, the frontier-banded panel kernel against the naive
 //! `eval_block` scan, tile reuse through `reset_for_tile` against fresh
 //! construction, and the pooled against the unpooled whole-GEMM path.
 //! These are the micro-level counterparts of the committed
@@ -20,7 +19,7 @@ fn operands(t: usize, n: usize, m: usize) -> (Matrix<i32>, Matrix<i32>) {
     )
 }
 
-fn bench_step_variants(c: &mut Criterion) {
+fn bench_step_into(c: &mut Criterion) {
     let config = ArrayConfig::new(32, 32).with_collapse_depth(2);
     let (a, b) = operands(8, 32, 32);
     let feeder = InputFeeder::new(&a, config).unwrap();
@@ -36,17 +35,6 @@ fn bench_step_variants(c: &mut Criterion) {
             for cycle in 0..cycles {
                 feeder.west_inputs_into(cycle, &mut west);
                 array.step_into(&west, &mut south).unwrap();
-            }
-        })
-    });
-    c.bench_function("simcore/step_allocating_wrapper", |bench| {
-        let mut array = SystolicArray::new(config).unwrap();
-        bench.iter(|| {
-            array.reset_for_tile();
-            array.load_weights(&b).unwrap();
-            for cycle in 0..cycles {
-                let west = feeder.west_inputs(cycle);
-                array.step(&west).unwrap();
             }
         })
     });
@@ -123,7 +111,7 @@ fn bench_tile_reuse(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_step_variants,
+    bench_step_into,
     bench_run_cycles,
     bench_panel_kernel,
     bench_tile_reuse

@@ -1,10 +1,9 @@
 //! Register-level model of the weight-stationary systolic array.
 //!
 //! The array is simulated synchronously: every call to
-//! [`SystolicArray::step_into`] (or its allocating convenience wrapper
-//! [`SystolicArray::step`]) evaluates one clock cycle by computing the next
-//! value of every pipeline register from the current register values and the
-//! west-edge inputs, then committing them all at once. Transparent registers
+//! [`SystolicArray::step_into`] evaluates one clock cycle by computing the
+//! next value of every pipeline register from the current register values
+//! and the west-edge inputs, then committing them all at once. Transparent registers
 //! (inside a collapsed pipeline block) are never clocked; the data simply
 //! flows through them combinationally within the cycle, and the partial sums
 //! inside a block are kept in carry-save form until the block's last row
@@ -80,8 +79,9 @@ use gemm::Matrix;
 /// array.load_weights(&weights)?;
 /// // Stream a single row of A = [5, 6] (both SA rows are fed in the same
 /// // cycle because k = 2) and read the result at the south edge.
-/// let outputs = array.step(&[Some(5), Some(6)])?;
-/// assert_eq!(outputs, vec![Some(5 * 1 + 6 * 3), Some(5 * 2 + 6 * 4)]);
+/// let mut outputs = [None; 2];
+/// array.step_into(&[Some(5), Some(6)], &mut outputs)?;
+/// assert_eq!(outputs, [Some(5 * 1 + 6 * 3), Some(5 * 2 + 6 * 4)]);
 /// # Ok::<(), sa_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -1219,22 +1219,6 @@ impl SystolicArray {
         }
         blocks
     }
-
-    /// Advances the array by one compute clock cycle, returning the
-    /// south-edge outputs in a freshly allocated vector.
-    ///
-    /// This is a thin compatibility wrapper around
-    /// [`SystolicArray::step_into`]; hot loops should call `step_into` with
-    /// a reused buffer instead.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SystolicArray::step_into`].
-    pub fn step(&mut self, west_inputs: &[Option<i32>]) -> Result<Vec<Option<i64>>, SimError> {
-        let mut south = vec![None; self.config.cols as usize];
-        self.step_into(west_inputs, &mut south)?;
-        Ok(south)
-    }
 }
 
 /// Where a fast-path cycle's west-edge operands come from.
@@ -1288,14 +1272,15 @@ mod tests {
         array.load_weights(&weights_2x2()).unwrap();
         // A = [[5, 6]]; row 0 of the SA gets 5 at cycle 0, row 1 gets 6 at
         // cycle 1 (skew of one cycle in normal mode).
-        let out0 = array.step(&[Some(5), None]).unwrap();
-        assert_eq!(out0, vec![None, None]);
-        let out1 = array.step(&[None, Some(6)]).unwrap();
+        let mut south = [None; 2];
+        array.step_into(&[Some(5), None], &mut south).unwrap();
+        assert_eq!(south, [None, None]);
+        array.step_into(&[None, Some(6)], &mut south).unwrap();
         // Column 0 result: 5*1 + 6*3 = 23, registered at the end of cycle 1.
-        assert_eq!(out1, vec![Some(23), None]);
-        let out2 = array.step(&[None, None]).unwrap();
+        assert_eq!(south, [Some(23), None]);
+        array.step_into(&[None, None], &mut south).unwrap();
         // Column 1 result: 5*2 + 6*4 = 34, one cycle later.
-        assert_eq!(out2, vec![None, Some(34)]);
+        assert_eq!(south, [None, Some(34)]);
     }
 
     #[test]
@@ -1303,8 +1288,9 @@ mod tests {
         let config = ArrayConfig::new(2, 2).with_collapse_depth(2);
         let mut array = SystolicArray::new(config).unwrap();
         array.load_weights(&weights_2x2()).unwrap();
-        let out = array.step(&[Some(5), Some(6)]).unwrap();
-        assert_eq!(out, vec![Some(23), Some(34)]);
+        let mut south = [None; 2];
+        array.step_into(&[Some(5), Some(6)], &mut south).unwrap();
+        assert_eq!(south, [Some(23), Some(34)]);
     }
 
     #[test]
@@ -1330,14 +1316,15 @@ mod tests {
     #[test]
     fn stepping_before_loading_weights_is_an_error() {
         let mut array = SystolicArray::new(ArrayConfig::new(2, 2)).unwrap();
-        assert!(array.step(&[Some(1), Some(2)]).is_err());
+        let mut south = [None; 2];
+        assert!(array.step_into(&[Some(1), Some(2)], &mut south).is_err());
     }
 
     #[test]
     fn step_rejects_wrong_buffer_sizes() {
         let mut array = SystolicArray::new(ArrayConfig::new(2, 2)).unwrap();
         array.load_weights(&weights_2x2()).unwrap();
-        assert!(array.step(&[Some(1)]).is_err());
+        assert!(array.step_into(&[Some(1)], &mut [None; 2]).is_err());
         let mut too_small = [None; 1];
         assert!(array.step_into(&[Some(1), None], &mut too_small).is_err());
     }
@@ -1348,14 +1335,14 @@ mod tests {
         // only one in four is.
         let mut normal = SystolicArray::new(ArrayConfig::new(4, 4)).unwrap();
         normal.load_weights(&Matrix::<i32>::zeros(4, 4)).unwrap();
-        normal.step(&[None; 4]).unwrap();
+        normal.step_into(&[None; 4], &mut [None; 4]).unwrap();
         assert_eq!(normal.stats().gated_register_events, 0);
         assert_eq!(normal.stats().clocked_register_events, 32);
 
         let mut shallow =
             SystolicArray::new(ArrayConfig::new(4, 4).with_collapse_depth(4)).unwrap();
         shallow.load_weights(&Matrix::<i32>::zeros(4, 4)).unwrap();
-        shallow.step(&[None; 4]).unwrap();
+        shallow.step_into(&[None; 4], &mut [None; 4]).unwrap();
         assert_eq!(shallow.stats().clocked_register_events, 8);
         assert_eq!(shallow.stats().gated_register_events, 24);
         assert!((shallow.stats().clock_gating_fraction() - 0.75).abs() < 1e-12);
@@ -1366,13 +1353,14 @@ mod tests {
         let mut array = SystolicArray::new(ArrayConfig::new(2, 2)).unwrap();
         array.load_weights(&weights_2x2()).unwrap();
         // Properly skewed single-row stream for k = 1.
-        array.step(&[Some(1), None]).unwrap();
-        array.step(&[None, Some(2)]).unwrap();
+        let mut south = [None; 2];
+        array.step_into(&[Some(1), None], &mut south).unwrap();
+        array.step_into(&[None, Some(2)], &mut south).unwrap();
         assert!(array.stats().total_cycles() > 0);
         array.reset();
         assert_eq!(array.stats(), RunStats::default());
         assert_eq!(array.pe(0, 0).unwrap().weight(), 0);
-        assert!(array.step(&[None, None]).is_err());
+        assert!(array.step_into(&[None, None], &mut south).is_err());
     }
 
     #[test]
@@ -1387,25 +1375,30 @@ mod tests {
         let dirty = Matrix::random(6, 4, &mut rng, -20, 20);
         let feeder = InputFeeder::new(&dirty, config).unwrap();
         reused.load_weights(&weights).unwrap();
+        let mut south = [None; 4];
         for cycle in 0..4 {
-            reused.step(&feeder.west_inputs(cycle)).unwrap();
+            reused
+                .step_into(&feeder.west_inputs(cycle), &mut south)
+                .unwrap();
         }
         // ... then reset for a new tile and compare against a fresh array.
         reused.reset_for_tile();
         assert_eq!(reused.stats(), RunStats::default());
-        assert!(reused.step(&[None; 4]).is_err(), "weights must be reloaded");
+        assert!(
+            reused.step_into(&[None; 4], &mut south).is_err(),
+            "weights must be reloaded"
+        );
         let mut fresh = SystolicArray::new(config).unwrap();
         reused.load_weights(&weights).unwrap();
         fresh.load_weights(&weights).unwrap();
         let a = Matrix::random(5, 4, &mut rng, -20, 20);
         let feeder = InputFeeder::new(&a, config).unwrap();
+        let mut fresh_south = [None; 4];
         for cycle in 0..config.compute_cycles(5) + 3 {
             let west = feeder.west_inputs(cycle);
-            assert_eq!(
-                reused.step(&west).unwrap(),
-                fresh.step(&west).unwrap(),
-                "cycle {cycle}"
-            );
+            reused.step_into(&west, &mut south).unwrap();
+            fresh.step_into(&west, &mut fresh_south).unwrap();
+            assert_eq!(south, fresh_south, "cycle {cycle}");
         }
         assert_eq!(reused.stats(), fresh.stats());
     }
@@ -1429,12 +1422,13 @@ mod tests {
             naive.load_weights(&weights).unwrap();
 
             let feeder = InputFeeder::new(&a, config).unwrap();
+            let (mut f, mut n) = ([None; 8], [None; 8]);
             // Step well past the drain so the fast path covers fill, steady
             // state and fully-drained cycles.
             for cycle in 0..config.compute_cycles(5) + 4 {
                 let west = feeder.west_inputs(cycle);
-                let f = fast.step(&west).unwrap();
-                let n = naive.step(&west).unwrap();
+                fast.step_into(&west, &mut f).unwrap();
+                naive.step_into(&west, &mut n).unwrap();
                 assert_eq!(f, n, "k = {k}, cycle = {cycle}");
                 assert_eq!(
                     fast.frontier_active_blocks(),
@@ -1576,8 +1570,9 @@ mod tests {
         fast.load_weights(&weights).unwrap();
         naive.load_weights(&weights).unwrap();
         let west = [Some(3), None, Some(-5), None];
-        let f = fast.step(&west).unwrap();
-        let n = naive.step(&west).unwrap();
+        let (mut f, mut n) = ([None; 4], [None; 4]);
+        fast.step_into(&west, &mut f).unwrap();
+        naive.step_into(&west, &mut n).unwrap();
         assert_eq!(f, n);
         assert_eq!(fast.frontier_active_blocks(), fast.scan_active_blocks());
         assert_eq!(fast.stats(), naive.stats());

@@ -124,36 +124,6 @@ proptest! {
         assert_equivalent(rows, cols, k, t, seed, zero_fraction);
     }
 
-    /// `step_into` with a caller-provided buffer commits exactly the same
-    /// cycle as the allocating legacy-style `step` wrapper.
-    #[test]
-    fn step_into_equals_step(
-        rows in 1u32..=10,
-        cols in 1u32..=10,
-        k in 1u32..=5,
-        t in 1usize..=8,
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(k <= rows && k <= cols);
-        let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
-        let mut rng = SplitMix64::new(seed);
-        let weights = Matrix::random(rows as usize, cols as usize, &mut rng, -50, 50);
-        let a = Matrix::random(t, rows as usize, &mut rng, -50, 50);
-        let mut buffered = SystolicArray::new(config).unwrap();
-        let mut allocating = SystolicArray::new(config).unwrap();
-        buffered.load_weights(&weights).unwrap();
-        allocating.load_weights(&weights).unwrap();
-        let feeder = InputFeeder::new(&a, config).unwrap();
-        let mut south = vec![Some(i64::MIN); cols as usize]; // poisoned on purpose
-        for cycle in 0..config.compute_cycles(t as u64) + 3 {
-            let west = feeder.west_inputs(cycle);
-            buffered.step_into(&west, &mut south).unwrap();
-            let allocated = allocating.step(&west).unwrap();
-            prop_assert_eq!(&south, &allocated);
-        }
-        prop_assert_eq!(buffered.stats(), allocating.stats());
-    }
-
     /// `run_cycles(n)` — west staging, evaluation, harvesting and error
     /// checks hoisted into the multi-cycle entry point, including the
     /// analytic wavefront kernel, the dead-cycle skip and mid-tile

@@ -1,25 +1,15 @@
-//! Batch admission in front of the request handlers.
+//! Admission in front of the request handlers.
 //!
-//! Two amortization mechanisms sit between the event loops and the
-//! handler worker pool — the serving-layer analogue of the paper's thesis
-//! that *utilization*, not peak compute, decides delivered throughput:
-//!
-//! * **Singleflight**: concurrent identical requests (same path, same
-//!   body) to a coalescable route (`/v1/plan`, `/v1/sweep`,
-//!   `/v1/simulate`) collapse onto one in-flight computation. The first
-//!   request becomes the *leader* and computes; later identical requests
-//!   park as *waiters* and receive the leader's response — the body is an
-//!   [`Arc`], so fan-out copies nothing. Because every handler is a pure
-//!   function of the request body over deterministic state, the coalesced
-//!   response is byte-identical to what each waiter would have computed
-//!   itself (asserted by the golden tests).
-//! * **Gather window**: when [`crate::http::ServerConfig::gather_window`]
-//!   is non-zero, the first `/v1/simulate` request of an array
-//!   configuration waits up to that long for same-configuration requests
-//!   (same `rows`/`cols`/`k`/`dataflow`, any operands), then the whole
-//!   group runs as one batch through `ParallelExecutor` sharing the
-//!   pooled simulator arrays. Off (zero) by default so sequential callers
-//!   never pay the window as latency.
+//! **Singleflight** sits between the event loops and the handler worker
+//! pool: concurrent identical requests (same path, same body) to a
+//! coalescable route (`/v1/plan`, `/v1/sweep`, `/v1/simulate`) collapse
+//! onto one in-flight computation. The first request becomes the
+//! *leader* and computes; later identical requests park as *waiters* and
+//! receive the leader's response — the body is an [`Arc`], so fan-out
+//! copies nothing. Because every handler is a pure function of the
+//! request body over deterministic state, the coalesced response is
+//! byte-identical to what each waiter would have computed itself
+//! (asserted by the golden tests).
 //!
 //! Responses travel back to their event loop as [`Completion`]s through
 //! the loop's mailbox; request metrics and log lines are recorded here,
@@ -36,18 +26,16 @@
 //! one item and answers a structured 503 (dropped by the slot-generation
 //! guard if nobody is left to read it).
 
-use crate::api::{self, AppState, SimRequest};
+use crate::api::{self, AppState};
 use crate::conn::ParsedRequest;
 use crate::event_loop::{LoopMsg, Mailbox};
 use crate::http::{self, HttpRequest, HttpResponse};
-use arrayflex::ParallelExecutor;
-use arrayflex::sa_sim::Dataflow;
 use gemm::CancelToken;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Reason a compute token carries when every waiting client disconnected.
 pub(crate) const DISCONNECT_REASON: &str = "every waiting client disconnected";
@@ -139,14 +127,6 @@ struct FlightKey {
     body: Vec<u8>,
 }
 
-/// Array geometry a `/v1/simulate` request runs on: `(rows, cols, k,
-/// dataflow)`. Requests sharing one can share a pooled-array batch.
-type BatchKey = (u32, u32, u32, Dataflow);
-
-/// One gather-bucket member: the flight it leads, the decoded request
-/// the batch leader will run, and the flight's compute token.
-type GatherEntry = (FlightKey, Waiter, SimRequest, CancelToken);
-
 /// One in-flight coalescable computation: its audience and the token its
 /// computation observes.
 #[derive(Debug)]
@@ -162,15 +142,11 @@ struct Flight {
     leader_gone: bool,
 }
 
-/// The singleflight table and simulate gather buckets.
-#[derive(Debug)]
+/// The singleflight table.
+#[derive(Debug, Default)]
 pub(crate) struct Admission {
     /// In-flight computations: key -> the flight behind the leader.
     flights: Mutex<HashMap<FlightKey, Flight>>,
-    /// Open gather buckets: batch key -> flights waiting for the batch
-    /// leader to run them.
-    gather: Mutex<HashMap<BatchKey, Vec<GatherEntry>>>,
-    window: Duration,
 }
 
 /// Outcome of entering the singleflight table.
@@ -183,18 +159,10 @@ enum Entered {
 }
 
 impl Admission {
-    pub(crate) fn new(window: Duration) -> Self {
-        Self {
-            flights: Mutex::new(HashMap::new()),
-            gather: Mutex::new(HashMap::new()),
-            window,
-        }
-    }
-
     fn enter(&self, key: FlightKey, waiter: Waiter, compute: &CancelToken) -> Entered {
-        // All four table locks are poison-tolerant: handlers run under
+        // The table lock is poison-tolerant: handlers run under
         // `catch_unwind`, and a caught panic must not convert every later
-        // request into a second panic (the tables' invariants are
+        // request into a second panic (the table's invariants are
         // per-entry and survive an unwound leader — `settle` still runs).
         let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
         match flights.entry(key) {
@@ -248,32 +216,6 @@ impl Admission {
                 flight.compute.cancel(DISCONNECT_REASON);
             }
         }
-    }
-
-    /// Parks one flight into its gather bucket. `true` when this call
-    /// opened the bucket (the caller becomes the batch leader and must
-    /// sleep the window, then [`Admission::take_batch`]).
-    fn join_gather(&self, batch_key: BatchKey, item: GatherEntry) -> bool {
-        let mut gather = self.gather.lock().unwrap_or_else(|e| e.into_inner());
-        match gather.entry(batch_key) {
-            Entry::Occupied(mut entry) => {
-                entry.get_mut().push(item);
-                false
-            }
-            Entry::Vacant(entry) => {
-                entry.insert(vec![item]);
-                true
-            }
-        }
-    }
-
-    /// Takes the gathered batch (leader's own flight included).
-    fn take_batch(&self, batch_key: BatchKey) -> Vec<GatherEntry> {
-        self.gather
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&batch_key)
-            .unwrap_or_default()
     }
 }
 
@@ -366,21 +308,6 @@ pub(crate) fn handle_job(
         Entered::Lead(waiter) => waiter,
     };
 
-    // Gather window: batch same-configuration simulate requests. Bodies
-    // that fail to decode fall through to the plain handler path so error
-    // responses stay byte-identical to the unbatched server.
-    if route == "/v1/simulate" && !admission.window.is_zero() {
-        if let Some(sim) = try_decode_sim(&request.body) {
-            if admission.join_gather(sim.batch_key(), (key, leader, sim, compute)) {
-                std::thread::sleep(admission.window);
-                run_batch(state, admission, sinks, admission.take_batch(sim.batch_key()));
-            }
-            // Not the batch leader: the leader runs (and delivers) this
-            // flight when its window closes.
-            return;
-        }
-    }
-
     let (response, trace) = guarded_handle(state, &request, &compute, tenant.as_deref());
     let response = finish(state, &compute, response);
     settle(state, admission, sinks, &key, leader, response, trace);
@@ -408,7 +335,7 @@ fn guarded_handle(
     })
 }
 
-/// Post-handler accounting shared by every computation path: backoff
+/// Post-handler accounting shared by both computation paths: backoff
 /// hints (`Retry-After`) on 429/503, and the cancellation counter when a
 /// 503 came from the request's token firing (cause `"disconnect"` when a
 /// closed connection fired it, `"deadline"` when the armed deadline
@@ -427,63 +354,6 @@ fn finish(state: &AppState, token: &CancelToken, response: HttpResponse) -> Shar
         state.metrics().note_cancelled(cause);
     }
     shared
-}
-
-/// Decodes a simulate body the way the handler would; `None` routes the
-/// request down the plain (unbatched) path.
-fn try_decode_sim(body: &[u8]) -> Option<SimRequest> {
-    let text = std::str::from_utf8(body).ok()?;
-    let value = serde_json::from_str(text).ok()?;
-    api::decode_simulate(&value).ok()
-}
-
-/// Runs one gathered simulate batch through `ParallelExecutor`, then
-/// settles every member flight.
-fn run_batch(
-    state: &AppState,
-    admission: &Admission,
-    sinks: &[Arc<Mailbox>],
-    batch: Vec<GatherEntry>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    state.metrics().note_sim_batch(batch.len() as u64);
-    let mut addresses = Vec::with_capacity(batch.len());
-    let mut sims = Vec::with_capacity(batch.len());
-    for (key, waiter, sim, token) in batch {
-        addresses.push((key, waiter));
-        sims.push((sim, token));
-    }
-    let threads = sims
-        .len()
-        .min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    // Same isolation as `guarded_handle`, per batch member: one poisoned
-    // simulate body must not sink the other members' responses. Each
-    // member runs under its own flight's compute token, so a batch entry
-    // whose whole audience disconnected settles as a (dropped) 503
-    // without stalling the rest of the batch.
-    let responses = ParallelExecutor::new(threads).run(sims, |(sim, token)| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let response = api::simulate_response(state, sim, &token);
-            finish(state, &token, response)
-        }))
-        .unwrap_or_else(|_| {
-            state.metrics().note_panic();
-            SharedResponse::from(HttpResponse::error(500, "internal error"))
-        })
-    });
-    for ((key, waiter), response) in addresses.into_iter().zip(responses) {
-        settle(
-            state,
-            admission,
-            sinks,
-            &key,
-            waiter,
-            response,
-            api::RequestTrace::default(),
-        );
-    }
 }
 
 /// Closes a flight and delivers the shared response to its leader and
@@ -561,7 +431,7 @@ mod tests {
 
     #[test]
     fn compute_token_fires_only_when_the_last_waiter_disconnects() {
-        let admission = Admission::new(Duration::ZERO);
+        let admission = Admission::default();
         let compute = CancelToken::new();
         let lead = admission.enter(key(), waiter(0, 7), &compute);
         assert!(matches!(lead, Entered::Lead(_)));
@@ -587,7 +457,7 @@ mod tests {
 
     #[test]
     fn a_disconnected_waiter_detaches_without_cancelling() {
-        let admission = Admission::new(Duration::ZERO);
+        let admission = Admission::default();
         let compute = CancelToken::new();
         assert!(matches!(
             admission.enter(key(), waiter(0, 7), &compute),

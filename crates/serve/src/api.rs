@@ -206,7 +206,7 @@ impl AppState {
         self.max_body_bytes
     }
 
-    /// Number of connections the acceptor has handed to the worker pool.
+    /// Number of connections the listening event loop has accepted.
     #[must_use]
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::SeqCst)
@@ -276,30 +276,25 @@ pub struct RequestTrace {
     pub cache: Option<(CacheOutcome, u64)>,
 }
 
-/// Dispatches one parsed request to its handler.
+/// Dispatches one parsed request to its handler, outside any server. The
+/// request runs anonymously under a fresh cancel token armed with the
+/// configured per-request deadline; the worker pool calls
+/// `handle_request` directly with the token the event loop can also fire
+/// on client disconnect.
 #[must_use]
 pub fn handle(state: &AppState, request: &HttpRequest) -> HttpResponse {
-    handle_traced(state, request).0
-}
-
-/// [`handle`], also reporting the [`RequestTrace`] the connection loop
-/// feeds into per-request log lines. The request runs under a fresh
-/// cancel token armed with the configured per-request deadline; the
-/// event-loop path calls `handle_request` directly with the token it
-/// can also fire on client disconnect.
-#[must_use]
-pub fn handle_traced(state: &AppState, request: &HttpRequest) -> (HttpResponse, RequestTrace) {
     let cancel = CancelToken::with_deadline_opt(
         state
             .request_deadline
             .map(|deadline| std::time::Instant::now() + deadline),
     );
-    handle_request(state, request, &cancel, None)
+    handle_request(state, request, &cancel, None).0
 }
 
-/// [`handle_traced`] with the caller-owned cancellation token and the
-/// request's tenant (from the `x-arrayflex-tenant` header; `None` means
-/// anonymous).
+/// Dispatches one request under the caller-owned cancellation token and
+/// the request's tenant (from the `x-arrayflex-tenant` header; `None`
+/// means anonymous), also reporting the [`RequestTrace`] that feeds the
+/// per-request log line.
 pub(crate) fn handle_request(
     state: &AppState,
     request: &HttpRequest,
@@ -361,9 +356,8 @@ pub(crate) fn handle_request(
 /// of the hit; `None` falls through to the full planning path.
 ///
 /// The event loop calls this inline — a memo hit never crosses into the
-/// worker pool — and [`handle_traced`] calls it too, so the legacy
-/// thread-per-connection path and direct API tests stay byte-identical
-/// with the fast path.
+/// worker pool — and `handle_request` calls it too, so worker-served
+/// requests and direct API tests stay byte-identical with the fast path.
 pub(crate) fn rendered_plan(
     state: &AppState,
     request_body: &[u8],
@@ -954,34 +948,11 @@ pub struct SimulateResponse {
     pub tiles: u64,
 }
 
-/// One fully decoded and validated `/v1/simulate` request. Extracted from
-/// the handler so the admission layer's gather window can decode requests
-/// up front, group them by [`SimRequest::batch_key`] and run a whole batch
-/// through `ParallelExecutor` — while the plain handler path stays the
-/// composition of the same two steps, keeping responses byte-identical
-/// whether a request was batched or not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SimRequest {
-    rows: u32,
-    cols: u32,
-    k: u32,
-    t: u64,
-    n: u64,
-    m: u64,
-    seed: u64,
-    dataflow: Dataflow,
-}
-
-impl SimRequest {
-    /// Requests sharing this key simulate the same array configuration,
-    /// so one batch can reuse one pooled-array working set.
-    pub(crate) fn batch_key(self) -> (u32, u32, u32, Dataflow) {
-        (self.rows, self.cols, self.k, self.dataflow)
-    }
-}
-
-/// Decodes and validates one simulate request body.
-pub(crate) fn decode_simulate(value: &Value) -> Result<SimRequest, ApiError> {
+/// Decodes and validates one simulate request body, then runs it to its
+/// success response. The cancel token is observed between simulated
+/// tiles, so an abandoned simulation stops within one tile (and its
+/// pooled array is still checked back in).
+fn simulate(state: &AppState, value: &Value, cancel: &CancelToken) -> Result<HttpResponse, ApiError> {
     let rows: u32 = decode(value, "rows")?;
     let cols: u32 = decode(value, "cols")?;
     let k: u32 = decode(value, "k")?;
@@ -1004,41 +975,21 @@ pub(crate) fn decode_simulate(value: &Value) -> Result<SimRequest, ApiError> {
             "GEMM of {macs} MACs exceeds the cycle-accurate limit of {MAX_SIM_MACS}"
         )));
     }
-    Ok(SimRequest {
+
+    let model = ArrayFlexModel::new(rows, cols)?.with_dataflow(dataflow);
+    let mut rng = SplitMix64::new(seed);
+    let a = Matrix::random(t as usize, n as usize, &mut rng, -64, 63);
+    let b = Matrix::random(n as usize, m as usize, &mut rng, -64, 63);
+    let result = model.simulate_gemm_cancellable(state.sim_pool(), &a, &b, k, 1, cancel)?;
+    let response = SimulateResponse {
         rows,
         cols,
         k,
+        dataflow,
         t,
         n,
         m,
         seed,
-        dataflow,
-    })
-}
-
-/// Runs one validated simulate request to its success response. The
-/// cancel token is observed between simulated tiles, so an abandoned
-/// simulation stops within one tile (and its pooled array is still
-/// checked back in).
-pub(crate) fn run_simulate(
-    state: &AppState,
-    req: SimRequest,
-    cancel: &CancelToken,
-) -> Result<HttpResponse, ApiError> {
-    let model = ArrayFlexModel::new(req.rows, req.cols)?.with_dataflow(req.dataflow);
-    let mut rng = SplitMix64::new(req.seed);
-    let a = Matrix::random(req.t as usize, req.n as usize, &mut rng, -64, 63);
-    let b = Matrix::random(req.n as usize, req.m as usize, &mut rng, -64, 63);
-    let result = model.simulate_gemm_cancellable(state.sim_pool(), &a, &b, req.k, 1, cancel)?;
-    let response = SimulateResponse {
-        rows: req.rows,
-        cols: req.cols,
-        k: req.k,
-        dataflow: req.dataflow,
-        t: req.t,
-        n: req.n,
-        m: req.m,
-        seed: req.seed,
         simulated_cycles: result.stats.total_cycles(),
         predicted_cycles: result.predicted.cycles,
         cycles_match: result.cycles_match(),
@@ -1049,20 +1000,6 @@ pub(crate) fn run_simulate(
     Ok(HttpResponse::json(
         state.sized_json_body(BodyRoute::Simulate, &response),
     ))
-}
-
-/// [`run_simulate`] with errors rendered to their wire responses (the
-/// shape batch workers need).
-pub(crate) fn simulate_response(
-    state: &AppState,
-    req: SimRequest,
-    cancel: &CancelToken,
-) -> HttpResponse {
-    run_simulate(state, req, cancel).unwrap_or_else(ApiError::into_response)
-}
-
-fn simulate(state: &AppState, value: &Value, cancel: &CancelToken) -> Result<HttpResponse, ApiError> {
-    run_simulate(state, decode_simulate(value)?, cancel)
 }
 
 #[cfg(test)]

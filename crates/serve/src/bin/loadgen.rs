@@ -8,8 +8,7 @@
 //!     [--requests N] [--sim-requests N] [--clients N] [--network NAME]
 //!     [--rows N] [--cols N] [--zipf S] [--zipf-pool N] [--seed N]
 //!     [--cache N] [--cache-ttl SECS] [--cache-bytes BYTES] [--json]
-//!     [--keep-alive] [--pipeline N] [--legacy-serve]
-//!     [--bench OUT.json [--quick]]
+//!     [--keep-alive] [--pipeline N] [--bench OUT.json [--quick]]
 //!     [--compare OLD.json NEW.json [--max-regression FACTOR]]
 //! ```
 //!
@@ -23,8 +22,6 @@
 //!
 //! `--keep-alive` reuses one connection per client; `--pipeline N` also
 //! writes up to `N` requests back to back before reading responses.
-//! `--legacy-serve` runs the in-process server on the legacy
-//! thread-per-connection path instead of the event loop.
 //!
 //! `--bench OUT.json` ignores the ad-hoc load flags and runs the fixed
 //! serving benchmark matrix (close / keep-alive / pipelined, per
@@ -79,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cache_bytes: Option<usize> = None;
     let mut json = false;
     let mut mode = ConnectionMode::Close;
-    let mut legacy = false;
     let mut bench_out: Option<String> = None;
     let mut quick = false;
     let mut compare: Option<(String, String)> = None;
@@ -110,7 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--json" => json = true,
             "--keep-alive" => mode = ConnectionMode::KeepAlive,
             "--pipeline" => mode = ConnectionMode::Pipeline(value_of("--pipeline")?.parse()?),
-            "--legacy-serve" => legacy = true,
             "--bench" => bench_out = Some(value_of("--bench")?),
             "--quick" => quick = true,
             "--compare" => {
@@ -132,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                      [--clients N] [--server-threads N] [--network NAME] [--rows N] \
                      [--cols N] [--zipf S] [--zipf-pool N] [--seed N] [--cache N] \
                      [--cache-ttl SECS] [--cache-bytes BYTES] [--json] [--keep-alive] \
-                     [--pipeline N] [--legacy-serve] [--bench OUT.json [--quick]] \
+                     [--pipeline N] [--bench OUT.json [--quick]] \
                      [--compare OLD NEW [--max-regression FACTOR]] \
                      [--keepalive-smoke HOST:PORT] [--chaos]"
                 );
@@ -176,7 +171,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => {
             let mut config = ServerConfig {
                 threads: server_threads,
-                legacy,
                 cache_ttl: cache_ttl.map(std::time::Duration::from_secs),
                 cache_max_bytes: cache_bytes,
                 ..ServerConfig::default()

@@ -2,20 +2,14 @@
 //!
 //! ```text
 //! cargo run --release -p arrayflex-serve --bin serve -- [--addr 127.0.0.1:8080]
-//!     [--threads N] [--loops N] [--gather-window-us N] [--legacy-serve]
-//!     [--cache N] [--max-body BYTES] [--cache-ttl SECS]
+//!     [--threads N] [--loops N] [--cache N] [--max-body BYTES] [--cache-ttl SECS]
 //!     [--cache-bytes BYTES] [--cache-snapshot PATH] [--snapshot-interval-ms N]
 //!     [--log]
 //! ```
 //!
-//! The default serving path is the keep-alive event loop: `--loops N`
-//! sets the number of event-loop threads (0 auto-detects) and
-//! `--threads N` sizes the handler worker pool behind them.
-//! `--gather-window-us N` turns on `/v1/simulate` batch admission: the
-//! first simulate request of an array configuration waits up to N
-//! microseconds for same-configuration requests, then the group runs as
-//! one pooled batch. `--legacy-serve` falls back to the
-//! thread-per-connection path (one request per connection).
+//! The server is a keep-alive event loop: `--loops N` sets the number of
+//! event-loop threads (0 auto-detects) and `--threads N` sizes the
+//! handler worker pool behind them.
 //!
 //! `--cache-ttl` expires cached plans that long after they were computed;
 //! `--cache-bytes` bounds the cache by estimated resident bytes (LRU-first
@@ -64,12 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--addr" => config.addr = value_of("--addr")?,
             "--threads" => config.threads = value_of("--threads")?.parse()?,
             "--loops" => config.event_loops = value_of("--loops")?.parse()?,
-            "--gather-window-us" => {
-                config.gather_window = std::time::Duration::from_micros(
-                    value_of("--gather-window-us")?.parse()?,
-                );
-            }
-            "--legacy-serve" => config.legacy = true,
             "--cache" => config.cache_capacity = value_of("--cache")?.parse()?,
             "--max-body" => config.max_body_bytes = value_of("--max-body")?.parse()?,
             "--cache-ttl" => {
@@ -107,8 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--help" | "-h" => {
                 println!(
                     "usage: serve [--addr HOST:PORT] [--threads N] [--loops N] \
-                     [--gather-window-us N] [--legacy-serve] [--cache N] \
-                     [--max-body BYTES] [--cache-ttl SECS] [--cache-bytes BYTES] \
+                     [--cache N] [--max-body BYTES] [--cache-ttl SECS] [--cache-bytes BYTES] \
                      [--cache-snapshot PATH] [--snapshot-interval-ms N] [--log] \
                      [--queue-limit N] [--request-deadline-ms N] [--fault-seed N] \
                      [--job-dir PATH] [--tenant-rate N] [--tenant-burst N] \

@@ -8,10 +8,10 @@
 //!   appends raw socket bytes into;
 //! * [`RequestParser`] — an incremental HTTP/1.1 request parser that
 //!   consumes the buffer request by request, regardless of how the bytes
-//!   were chunked by the network. It reuses the same framing validators as
-//!   the legacy blocking server (`Content-Length` hygiene per RFC 9112
-//!   §6.3, head-size caps, structured rejects), adds `Connection`
-//!   keep-alive semantics, and rejects `Transfer-Encoding` with a 501 —
+//!   were chunked by the network. It enforces `Content-Length` hygiene
+//!   per RFC 9112 §6.3, head-size caps and structured rejects, implements
+//!   `Connection` keep-alive semantics, and rejects `Transfer-Encoding`
+//!   with a 501 —
 //!   a chunked body this server cannot parse would otherwise be misframed
 //!   as the next pipelined request;
 //! * [`WriteQueue`] — a bounded queue of response byte segments with
@@ -22,8 +22,7 @@
 
 use crate::http::HttpResponse;
 
-/// Hard cap on the request head (request line plus headers), shared with
-/// the legacy blocking parser.
+/// Hard cap on the request head (request line plus headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// How much of a rejected request's body is skipped (and discarded) before
@@ -34,8 +33,7 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub const REJECT_DRAIN_BYTES: u64 = 8 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
-// Shared head validators (used by both the event-loop parser and the
-// legacy blocking server in `http.rs`)
+// Head validators
 // ---------------------------------------------------------------------------
 
 /// Validates one request line, returning `(method, path, is_http10)`.
@@ -43,7 +41,7 @@ pub const REJECT_DRAIN_BYTES: u64 = 8 * 1024 * 1024;
 /// # Errors
 ///
 /// Returns the structured 400 to respond with when the line is malformed.
-pub fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpResponse> {
+fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpResponse> {
     let mut parts = line.split(' ');
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -60,20 +58,19 @@ pub fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpResp
 }
 
 /// Accumulates validated header state while head lines stream in. One
-/// instance per request; both the legacy line-at-a-time reader and the
-/// incremental parser feed every header line through
-/// [`HeadFields::header_line`], so the framing rules cannot drift apart.
+/// instance per request; [`parse_head`] feeds every header line through
+/// [`HeadFields::header_line`].
 #[derive(Debug, Default)]
-pub struct HeadFields {
+struct HeadFields {
     /// The validated `Content-Length`, when one was sent.
-    pub content_length: Option<usize>,
+    content_length: Option<usize>,
     /// `true` once a `Connection: close` token was seen.
-    pub connection_close: bool,
+    connection_close: bool,
     /// `true` once a `Connection: keep-alive` token was seen.
-    pub connection_keep_alive: bool,
+    connection_keep_alive: bool,
     /// The validated `x-arrayflex-tenant` value, when one was sent (the
     /// key the per-tenant quota and job accounting layers use).
-    pub tenant: Option<String>,
+    tenant: Option<String>,
 }
 
 /// Longest accepted `x-arrayflex-tenant` value. Tenant names become
@@ -92,7 +89,7 @@ impl HeadFields {
     /// `Content-Length`; accepting the header and then treating the coded
     /// body as raw bytes would misframe a chunked body as the next
     /// pipelined request).
-    pub fn header_line(&mut self, header: &str) -> Result<(), HttpResponse> {
+    fn header_line(&mut self, header: &str) -> Result<(), HttpResponse> {
         let Some((name, value)) = header.split_once(':') else {
             return Err(HttpResponse::error(400, "malformed header"));
         };
@@ -154,7 +151,7 @@ impl HeadFields {
     /// an explicit `Connection: close`, or HTTP/1.0 without an explicit
     /// `keep-alive`.
     #[must_use]
-    pub fn close_after(&self, http10: bool) -> bool {
+    fn close_after(&self, http10: bool) -> bool {
         self.connection_close || (http10 && !self.connection_keep_alive)
     }
 }
@@ -450,8 +447,7 @@ enum HeadScan {
 }
 
 /// Finds the end of the request head: the first `\n` immediately followed
-/// by `\n` or `\r\n` (tolerating bare-LF line endings like the legacy
-/// reader). Scanning resumes at `scanned`, so chunked arrival is O(n)
+/// by `\n` or `\r\n` (tolerating bare-LF line endings). Scanning resumes at `scanned`, so chunked arrival is O(n)
 /// total.
 fn find_head_end(bytes: &[u8], scanned: usize) -> HeadScan {
     let mut i = scanned;

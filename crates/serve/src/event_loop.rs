@@ -5,7 +5,7 @@
 //! Loops do no application work: they read bytes, run the incremental
 //! parser ([`crate::conn::RequestParser`]), and hand complete requests to
 //! a shared handler worker pool as [`Job`]s. Workers route jobs through
-//! [`crate::admission`] (singleflight + gather-window batching) and mail
+//! [`crate::admission`] (singleflight coalescing) and mail
 //! finished [`Completion`]s back to the owning loop's [`Mailbox`], which
 //! wakes the loop through its [`crate::poll::Waker`].
 //!
@@ -222,7 +222,7 @@ pub(crate) fn start(
     listener.set_nonblocking(true)?;
     let nloops = resolve_threads(config.event_loops);
     let nworkers = resolve_threads(config.threads);
-    let admission = Arc::new(Admission::new(config.gather_window));
+    let admission = Arc::new(Admission::default());
     let queue_depth = Arc::new(AtomicUsize::new(0));
     let faults = config.faults.clone().map(|fc| {
         let plan = Arc::new(FaultPlan::new(fc));

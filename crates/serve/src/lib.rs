@@ -7,10 +7,9 @@
 //! the standard library alone (the build environment has no crates.io
 //! access): a readiness-driven event-loop HTTP/1.1 server with keep-alive
 //! and pipelining (a vendored epoll/poll abstraction in [`poll`], the
-//! per-connection state machine in [`conn`], singleflight and gather-window
-//! batch admission in front of the handlers), a legacy blocking
-//! worker-pool server behind `--legacy-serve` ([`http`]), JSON request
-//! parsing through the vendored `serde_json` parser, a sharded LRU plan
+//! per-connection state machine in [`conn`], singleflight admission in
+//! front of the handlers, the public server surface in [`http`]), JSON
+//! request parsing through the vendored `serde_json` parser, a sharded LRU plan
 //! cache ([`arrayflex::PlanCache`]) so repeated plans never recompute,
 //! request metrics in Prometheus text format ([`metrics`]), a tiny
 //! blocking client ([`client`]) and a load generator ([`loadgen`]).

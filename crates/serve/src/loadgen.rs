@@ -708,8 +708,10 @@ pub const SERVE_BENCH_SCHEMA: u32 = 1;
 
 /// The committed close-mode reference: `/v1/plan` RPS of the original
 /// thread-per-connection server with one connection per request, measured
-/// on the reference container (`EXPERIMENTS.md` §"Serving layer"). The
-/// event-loop keep-alive path is gated on sustaining ≥10x this number.
+/// on the reference container (`EXPERIMENTS.md` §"Serving layer"). It is
+/// a historical number: that server has since been deleted, so it can no
+/// longer be reproduced in-tree. The event-loop keep-alive path is gated
+/// on sustaining ≥10x this number.
 pub const REFERENCE_CLOSE_RPS: f64 = 4600.0;
 
 /// One serving benchmark: an endpoint driven in one connection mode.

@@ -37,8 +37,6 @@ pub struct Metrics {
     /// Singleflight-coalesced requests per coalescable route:
     /// `[/v1/plan, /v1/sweep, /v1/simulate]`.
     coalesced: [AtomicU64; COALESCE_ROUTES.len()],
-    sim_batches: AtomicU64,
-    sim_batched_requests: AtomicU64,
     rendered_hits: AtomicU64,
     sheds: Mutex<BTreeMap<String, u64>>,
     panics: AtomicU64,
@@ -176,21 +174,6 @@ impl Metrics {
     #[must_use]
     pub fn rendered_hits(&self) -> u64 {
         self.rendered_hits.load(Ordering::Relaxed)
-    }
-
-    /// Records one gather-window simulate batch of `size` requests.
-    pub fn note_sim_batch(&self, size: u64) {
-        self.sim_batches.fetch_add(1, Ordering::Relaxed);
-        self.sim_batched_requests.fetch_add(size, Ordering::Relaxed);
-    }
-
-    /// `(batches, batched_requests)` executed by the gather window.
-    #[must_use]
-    pub fn sim_batches(&self) -> (u64, u64) {
-        (
-            self.sim_batches.load(Ordering::Relaxed),
-            self.sim_batched_requests.load(Ordering::Relaxed),
-        )
     }
 
     /// Records one request shed by admission control (answered 503
@@ -481,20 +464,6 @@ impl Metrics {
             "arrayflex_serve_rendered_hits_total {}",
             self.rendered_hits.load(Ordering::Relaxed)
         );
-        out.push_str("# HELP arrayflex_serve_sim_batches_total Gather-window simulate batches executed.\n");
-        out.push_str("# TYPE arrayflex_serve_sim_batches_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_sim_batches_total {}",
-            self.sim_batches.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP arrayflex_serve_sim_batched_requests_total Simulate requests served through gather-window batches.\n");
-        out.push_str("# TYPE arrayflex_serve_sim_batched_requests_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_sim_batched_requests_total {}",
-            self.sim_batched_requests.load(Ordering::Relaxed)
-        );
         out.push_str("# HELP arrayflex_serve_shed_total Requests shed by admission control (503 without computation), by route.\n");
         out.push_str("# TYPE arrayflex_serve_shed_total counter\n");
         for (route, count) in lock_counters(&self.sheds).iter() {
@@ -655,9 +624,6 @@ mod tests {
         assert_eq!(metrics.coalesced("/v1/plan"), 2);
         assert_eq!(metrics.coalesced("/v1/simulate"), 1);
         assert_eq!(metrics.coalesced("/healthz"), 0);
-        metrics.note_sim_batch(3);
-        metrics.note_sim_batch(1);
-        assert_eq!(metrics.sim_batches(), (2, 4));
         metrics.note_shed("/v1/plan");
         metrics.note_shed("/v1/plan");
         metrics.note_shed("/v1/simulate");
@@ -706,7 +672,6 @@ mod tests {
         let text = metrics.render_prometheus(&cache);
         assert!(text.contains("arrayflex_serve_open_connections 1"));
         assert!(text.contains("arrayflex_serve_coalesced_requests_total{route=\"/v1/plan\"} 2"));
-        assert!(text.contains("arrayflex_serve_sim_batched_requests_total 4"));
         assert!(text.contains("arrayflex_serve_shed_total{route=\"/v1/plan\"} 2"));
         assert!(text.contains("arrayflex_serve_shed_total{route=\"/v1/simulate\"} 1"));
         assert!(text.contains("arrayflex_serve_panics_total 1"));
@@ -756,8 +721,6 @@ mod tests {
         assert!(text.contains("arrayflex_serve_open_connections 0"));
         assert!(text.contains("arrayflex_serve_accept_queue_depth 0"));
         assert!(text.contains("arrayflex_serve_idle_closed_total 0"));
-        assert!(text.contains("arrayflex_serve_sim_batches_total 0"));
-        assert!(text.contains("arrayflex_serve_sim_batched_requests_total 0"));
         assert!(text.contains("arrayflex_serve_rendered_hits_total 0"));
         assert!(text.contains("arrayflex_serve_panics_total 0"));
         assert!(text.contains("arrayflex_serve_deadline_expired_total 0"));

@@ -1,6 +1,7 @@
 //! Integration tests of the keep-alive event-loop serving path:
 //! connection reuse, pipelining, idle deadlines, write-queue
-//! backpressure, singleflight coalescing and gather-window batching.
+//! backpressure, singleflight coalescing and concurrent simulates sharing
+//! pooled arrays.
 
 use arrayflex::ArrayFlexModel;
 use arrayflex_serve::client::{self, read_response, PersistentClient};
@@ -8,6 +9,7 @@ use arrayflex_serve::http::{serve, ServerConfig};
 use cnn::DepthwiseMapping;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 use std::time::Duration;
 
 const PLAN_BODY: &str = r#"{"network":"resnet34","rows":128,"cols":128}"#;
@@ -172,66 +174,49 @@ fn identical_concurrent_plans_coalesce_to_identical_bytes() {
 }
 
 #[test]
-fn gather_window_batches_are_byte_identical_to_unbatched_serving() {
-    let batched = serve(ServerConfig {
-        gather_window: Duration::from_millis(200),
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
-    let plain = serve(ServerConfig::default()).expect("bind loopback");
+fn concurrent_same_geometry_simulates_are_byte_identical_to_sequential_serving() {
+    let handle = serve(ServerConfig::default()).expect("bind loopback");
 
-    // Same array configuration, different operands: batchable together.
+    // Same array configuration, different operands: distinct flights (no
+    // coalescing) whose workers draw same-configuration arrays from the
+    // server's one array pool at the same time.
     let bodies = [
         r#"{"rows":16,"cols":16,"k":2,"t":8,"n":48,"m":24,"seed":7}"#,
         r#"{"rows":16,"cols":16,"k":2,"t":8,"n":48,"m":24,"seed":8}"#,
     ];
-    let addr = batched.addr();
-    let results: Vec<Vec<u8>> = std::thread::scope(|scope| {
+    let addr = handle.addr();
+    let start = Barrier::new(bodies.len());
+    let concurrent: Vec<Vec<u8>> = std::thread::scope(|scope| {
         // The collect is what makes the requests concurrent: a lazy
-        // iterator would spawn and join one thread at a time, so the
-        // two requests could never land in one gather window.
+        // iterator would spawn and join one thread at a time.
         #[allow(clippy::needless_collect)]
         let handles: Vec<_> = bodies
             .iter()
             .map(|body| {
+                let start = &start;
                 scope.spawn(move || {
-                    client::post_json(addr, "/v1/simulate", body)
-                        .expect("request succeeds")
-                        .body
+                    start.wait();
+                    let response =
+                        client::post_json(addr, "/v1/simulate", body).expect("request succeeds");
+                    assert_eq!(response.status, 200);
+                    response.body
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for (body, result) in bodies.iter().zip(&results) {
-        let reference = client::post_json(plain.addr(), "/v1/simulate", body).unwrap();
-        assert_eq!(reference.status, 200);
+    assert_ne!(
+        concurrent[0], concurrent[1],
+        "different seeds, different replies"
+    );
+    for (body, reply) in bodies.iter().zip(&concurrent) {
+        let sequential = client::post_json(addr, "/v1/simulate", body).unwrap();
+        assert_eq!(sequential.status, 200);
         assert_eq!(
-            result, &reference.body,
-            "batched response must be byte-identical to unbatched"
+            reply, &sequential.body,
+            "a concurrent reply must be byte-identical to the sequential one"
         );
     }
-    let (batches, batched_requests) = batched.state().metrics().sim_batches();
-    assert!(batches >= 1, "at least one gather batch must have run");
-    assert!(
-        batched_requests >= 2,
-        "both simulate requests should have ridden batches, saw {batched_requests}"
-    );
-    plain.shutdown();
-    batched.shutdown();
-}
-
-#[test]
-fn legacy_serving_path_still_works_end_to_end() {
-    let handle = serve(ServerConfig {
-        legacy: true,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
-    let health = client::get(handle.addr(), "/healthz").unwrap();
-    assert_eq!(health.status, 200);
-    let plan = client::post_json(handle.addr(), "/v1/plan", PLAN_BODY).unwrap();
-    assert_eq!(plan.status, 200);
-    assert_eq!(plan.body, direct_plan_bytes());
+    assert_eq!(handle.state().metrics().coalesced("/v1/simulate"), 0);
     handle.shutdown();
 }

@@ -9,8 +9,10 @@
 #
 # A full (non-quick) run also asserts the headline claim the baseline
 # exists to defend: keep-alive serving must sustain at least 10x the
-# committed close-mode reference (~4.6k/s, the original
-# thread-per-connection server) on /v1/plan.
+# committed close-mode reference on /v1/plan. That reference (~4.6k/s,
+# REFERENCE_CLOSE_RPS in crates/serve/src/loadgen.rs) is a historical
+# number from the original thread-per-connection server, which has since
+# been deleted; it can no longer be reproduced in-tree.
 #
 # Usage: scripts/bench_serve.sh [--quick] [OUTPUT.json]
 #   --quick   reduced request counts (CI smoke mode; do not commit)
